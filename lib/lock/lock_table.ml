@@ -23,6 +23,9 @@ type t = {
   table : (string, entry) Hashtbl.t;
   held : string list ref Ids.Txn_map.t;  (* txn -> keys it holds *)
   waits : string list ref Ids.Txn_map.t;  (* txn -> keys it waits on *)
+  dirty : unit Ids.Txn_map.t;
+      (* txns that queued a request since the last check that found no
+         cycle: every cycle in the wait-for graph passes through one *)
 }
 
 type outcome = Granted | Waiting
@@ -32,6 +35,7 @@ let create () =
     table = Hashtbl.create 256;
     held = Ids.Txn_map.create 64;
     waits = Ids.Txn_map.create 64;
+    dirty = Ids.Txn_map.create 16;
   }
 
 let entry_for t key =
@@ -150,6 +154,7 @@ let acquire t ~txn ~key ~mode ~on_grant =
            an immediate deadlock with ordinary waiters. *)
         e.waiting <- r :: e.waiting;
         index_add t.waits txn key;
+        Ids.Txn_map.replace t.dirty txn ();
         Waiting
       end
   | None ->
@@ -161,6 +166,7 @@ let acquire t ~txn ~key ~mode ~on_grant =
       else begin
         e.waiting <- e.waiting @ [ r ];
         index_add t.waits txn key;
+        Ids.Txn_map.replace t.dirty txn ();
         Waiting
       end
 
@@ -184,6 +190,8 @@ let release_all t ~txn =
         Ids.Txn_map.remove t.waits txn;
         !keys
   in
+  (* With nothing held or queued, [txn] has no wait-for edges left. *)
+  Ids.Txn_map.remove t.dirty txn;
   (* Then drop held locks and promote waiters. *)
   let held_keys =
     match Ids.Txn_map.find_opt t.held txn with
@@ -227,74 +235,99 @@ let held_keys t ~txn =
 let conflicts a b =
   match (a, b) with Shared, Shared -> false | _ -> true
 
-let blocking t ~txn =
+(* Apply [f] to each transaction that request [r] on entry [e] must
+   out-wait: incompatible holders, then incompatible requests queued
+   ahead of it (FIFO).  Never [r]'s own transaction. *)
+let iter_waits_for e r f =
+  List.iter
+    (fun (h, m) -> if (not (Tid.equal h r.txn)) && conflicts r.mode m then f h)
+    e.holders;
+  let rec ahead = function
+    | r' :: rest when r' != r ->
+        if (not (Tid.equal r'.txn r.txn)) && conflicts r.mode r'.mode then
+          f r'.txn;
+        ahead rest
+    | _ -> ()
+  in
+  ahead e.waiting
+
+(* Apply [f] to [txn]'s queued requests, [first_only] stopping at its
+   first request on each key. *)
+let iter_requests t txn ~first_only f =
   match Ids.Txn_map.find_opt t.waits txn with
-  | None -> []
+  | None -> ()
   | Some keys ->
-      List.concat_map
+      List.iter
         (fun key ->
           match Hashtbl.find_opt t.table key with
-          | None -> []
-          | Some e -> (
-              (* Find txn's request and everything ahead of it. *)
-              let rec split ahead = function
-                | [] -> None
+          | None -> ()
+          | Some e ->
+              let rec walk = function
+                | [] -> ()
                 | r :: rest ->
-                    if Tid.equal r.txn txn then Some (r, ahead)
-                    else split (r :: ahead) rest
+                    if Tid.equal r.txn txn then begin
+                      f e r;
+                      if not first_only then walk rest
+                    end
+                    else walk rest
               in
-              match split [] e.waiting with
-              | None -> []
-              | Some (r, ahead) ->
-                  let holders =
-                    List.filter_map
-                      (fun (h, m) ->
-                        if (not (Tid.equal h txn)) && conflicts r.mode m then
-                          Some h
-                        else None)
-                      e.holders
-                  in
-                  let queued =
-                    List.filter_map
-                      (fun r' ->
-                        if conflicts r.mode r'.mode then Some r'.txn else None)
-                      ahead
-                  in
-                  holders @ queued))
-        (List.sort_uniq String.compare !keys)
-      |> List.sort_uniq Tid.compare
+              walk e.waiting)
+        !keys
+
+let blocking t ~txn =
+  let acc = ref [] in
+  iter_requests t txn ~first_only:true (fun e r ->
+      iter_waits_for e r (fun b -> acc := b :: !acc));
+  List.sort_uniq Tid.compare !acc
 
 let wait_for_graph t =
   let g = Wfg.create () in
   (* Sorted keys: edge insertion order feeds victim selection. *)
   Rt_sim.Det.iter_sorted ~cmp:String.compare
     (fun _key e ->
-      let rec walk ahead = function
-        | [] -> ()
-        | r :: rest ->
-            (* Wait on incompatible holders... *)
-            List.iter
-              (fun (h, m) ->
-                if (not (Tid.equal h r.txn)) && conflicts r.mode m then
-                  Wfg.add_edge g r.txn h)
-              e.holders;
-            (* ...and on incompatible requests queued ahead (FIFO). *)
-            List.iter
-              (fun r' ->
-                if conflicts r.mode r'.mode then Wfg.add_edge g r.txn r'.txn)
-              ahead;
-            walk (r :: ahead) rest
-      in
-      walk [] e.waiting)
+      List.iter (fun r -> iter_waits_for e r (Wfg.add_edge g r.txn)) e.waiting)
     t.table;
   g
 
+(* Is some cycle reachable from a dirty transaction?  Grey/black DFS over
+   successors computed on demand, so the cost is the part of the graph
+   the new waiters can reach, not the whole table. *)
+let dirty_reaches_cycle t =
+  let black = Ids.Txn_map.create 16 in  (* false: grey, on the DFS path *)
+  let exception Cycle in
+  let rec visit txn =
+    match Ids.Txn_map.find_opt black txn with
+    | Some true -> ()
+    | Some false -> raise Cycle
+    | None ->
+        Ids.Txn_map.replace black txn false;
+        (* Every queued request counts, not just the first as in
+           [blocking]: these are exactly [wait_for_graph]'s edges. *)
+        iter_requests t txn ~first_only:false (fun e r ->
+            iter_waits_for e r visit);
+        Ids.Txn_map.replace black txn true
+  in
+  try
+    Ids.Txn_map.fold (fun txn () acc -> txn :: acc) t.dirty []
+    |> List.sort Tid.compare |> List.iter visit;
+    false
+  with Cycle -> true
+
 let detect_deadlock ?policy t =
-  match Wfg.find_cycle (wait_for_graph t) with
-  | None -> None
-  | Some cycle -> Some (Wfg.victim ?policy cycle)
+  if Ids.Txn_map.length t.dirty = 0 || not (dirty_reaches_cycle t) then begin
+    Ids.Txn_map.reset t.dirty;
+    None
+  end
+  else
+    (* The victim comes from the full graph, exactly as without the
+       scoped check; the dirty set stays until a check finds no cycle. *)
+    match Wfg.find_cycle (wait_for_graph t) with
+    | None -> None
+    | Some cycle -> Some (Wfg.victim ?policy cycle)
 
 let locked_keys t = Hashtbl.length t.table
+
+let unchecked_waiters t = Ids.Txn_map.length t.dirty
 
 let dump t =
   Hashtbl.fold

@@ -1,7 +1,8 @@
 (** Strict two-phase-locking lock manager.
 
     Shared/exclusive locks per key with FIFO waiting, lock upgrades, and
-    deadlock detection over the induced wait-for graph.  Grants are
+    deadlock detection over the induced wait-for graph, scoped to the
+    transactions that queued since the last clean check.  Grants are
     synchronous when possible ([Granted] return) and otherwise delivered
     through the request's callback when a release unblocks it — the caller
     (the transaction scheduler) decides how to resume the transaction.
@@ -66,7 +67,35 @@ val detect_deadlock :
   ?policy:[ `Youngest | `Oldest ] -> t -> Ids.Txn_id.t option
 (** Run cycle detection; return the chosen victim if a deadlock exists.
     The caller is responsible for aborting the victim (which must include
-    [release_all]). *)
+    [release_all]).
+
+    The result is always [Wfg.find_cycle (wait_for_graph t)] mapped
+    through [Wfg.victim ?policy], but the check is scoped to the
+    transactions that queued a request since the last call that returned
+    [None] (the dirty set, see {!unchecked_waiters}):
+    - no such transaction: [None] in O(1);
+    - otherwise a depth-first search over the part of the wait-for graph
+      reachable from them, with successors read straight from the
+      queues: [None] if it meets no cycle, which empties the set;
+    - only when it does meet one is the full graph built and searched,
+      as before, so the victim is unchanged.  The set is kept, since
+      the caller's abort may leave further cycles.
+
+    Why that is exact: a call that returns [None] leaves the graph
+    acyclic, and between calls the only operations that add edges are
+    queued requests, whose new edges all touch the requester (an
+    upgrade queued at the front also gains edges into it).  Grants and
+    [release_all] only remove or re-label edges, and [release_all]
+    drops its transaction from the set because no edge touches it any
+    more.  So every cycle passes through a dirty transaction.  The set
+    is therefore a cache of the lock state, not state of its own: equal
+    holders and queues give equal answers, and {!dump} need not show
+    it. *)
+
+val unchecked_waiters : t -> int
+(** Size of the dirty set: transactions that queued a request since the
+    last {!detect_deadlock} that returned [None] and have not released
+    since (diagnostics, tests). *)
 
 val locked_keys : t -> int
 (** Number of keys with at least one holder or waiter (table size). *)

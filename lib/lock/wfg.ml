@@ -29,11 +29,15 @@ let dump t =
          Printf.sprintf "%s->%s;" (Tid.to_string a) (Tid.to_string b))
   |> String.concat ""
 
+(* Edges are ordered by source first, so [node]'s successors are one
+   contiguous, already sorted run of the set. *)
 let successors t node =
-  Edge_set.fold
-    (fun (a, b) acc -> if Tid.equal a node then b :: acc else acc)
-    t.set []
-  |> List.sort Tid.compare
+  match Edge_set.find_first_opt (fun (a, _) -> Tid.compare a node >= 0) t.set with
+  | None -> []
+  | Some first ->
+      Edge_set.to_seq_from first t.set
+      |> Seq.take_while (fun (a, _) -> Tid.equal a node)
+      |> Seq.map snd |> List.of_seq
 
 let nodes t =
   Edge_set.fold (fun (a, b) acc -> a :: b :: acc) t.set []

@@ -250,6 +250,194 @@ let test_upgrade_deadlock () =
   | Some _ -> ()
   | None -> Alcotest.fail "upgrade-upgrade deadlock not detected"
 
+(* The scoped check must agree with a search of the whole graph. *)
+let reference ?policy t =
+  Wfg.find_cycle (Lock_table.wait_for_graph t) |> Option.map (Wfg.victim ?policy)
+
+let acq t tx key mode =
+  Lock_table.acquire t ~txn:tx ~key ~mode ~on_grant:(fun () -> ())
+
+(* Two readers upgrade in turn, with a clean check in between.  The
+   second upgrade queues at the front and waits for the other reader,
+   whose queued upgrade waits for it in turn (behind its shared hold and
+   now behind its upgrade too): the cycle closes through that edge into
+   the upgrader, and only the upgrade's own dirty mark brings it into
+   scope.  The writer queued behind also gains an edge into the upgrader
+   but is not on the cycle. *)
+let test_upgrade_front_closes_cycle () =
+  let t = Lock_table.create () in
+  let a = txn 1 and b = txn 2 and w = txn 3 in
+  ignore (acq t a "k" Shared);
+  ignore (acq t b "k" Shared);
+  check_outcome "b upgrade waits" true (acq t b "k" Exclusive = Waiting);
+  check_outcome "w queues behind" true (acq t w "k" Exclusive = Waiting);
+  Alcotest.(check (option tid)) "no cycle yet" None
+    (Lock_table.detect_deadlock t);
+  Alcotest.(check int) "clean check empties the dirty set" 0
+    (Lock_table.unchecked_waiters t);
+  check_outcome "a upgrade waits" true (acq t a "k" Exclusive = Waiting);
+  Alcotest.(check (list tid)) "a's upgrade jumped to the front" [ a; b; w ]
+    (List.map fst (Lock_table.waiters t ~key:"k"));
+  Alcotest.(check (option tid)) "same victim as the full graph"
+    (reference t) (Lock_table.detect_deadlock t);
+  Alcotest.(check (option tid)) "youngest of the upgraders" (Some b)
+    (Lock_table.detect_deadlock t);
+  Lock_table.release_all t ~txn:b;
+  Alcotest.(check (option tid)) "resolved" None (Lock_table.detect_deadlock t)
+
+(* A cycle closed by an early waiter is still found when the check runs
+   only after several later waits that are not on the cycle (callers
+   such as bench's [lock_cycle] check once per batch of requests). *)
+let test_cycle_found_after_unchecked_waits () =
+  let t = Lock_table.create () in
+  let a = txn 1 and b = txn 2 and c = txn 3 and d = txn 4 in
+  ignore (acq t a "x" Exclusive);
+  ignore (acq t b "y" Exclusive);
+  ignore (acq t c "z" Exclusive);
+  ignore (acq t a "y" Exclusive);
+  ignore (acq t b "x" Exclusive);
+  ignore (acq t d "z" Shared);
+  ignore (acq t d "x" Shared);
+  Alcotest.(check int) "three unchecked waiters" 3
+    (Lock_table.unchecked_waiters t);
+  Alcotest.(check (option tid)) "found by one check" (Some b)
+    (Lock_table.detect_deadlock t);
+  Alcotest.(check int) "a cycle keeps the set" 3
+    (Lock_table.unchecked_waiters t);
+  Lock_table.release_all t ~txn:b;
+  Alcotest.(check (option tid)) "resolved" None (Lock_table.detect_deadlock t);
+  Alcotest.(check int) "then emptied" 0 (Lock_table.unchecked_waiters t)
+
+type op = Acq of int * int * Lock_table.mode | Release of int
+
+let pp_op = function
+  | Acq (ti, k, m) ->
+      Printf.sprintf "%d:%s%d" ti
+        (match m with Lock_table.Shared -> "S" | Exclusive -> "X")
+        k
+  | Release ti -> Printf.sprintf "%d:rel" ti
+
+(* Up to 6 transactions on up to 4 keys.  Repeated requests from one
+   transaction give upgrades, duplicates and mixed S/X pairs queued on
+   one key. *)
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun ti k m -> Acq (ti, k, m))
+            (int_range 1 6) (int_range 0 3)
+            (oneofl [ Lock_table.Shared; Exclusive ]) );
+        (1, map (fun ti -> Release ti) (int_range 1 6));
+      ])
+
+let apply t = function
+  | Acq (ti, k, mode) -> acq t (txn ti) (Printf.sprintf "k%d" k) mode = Waiting
+  | Release ti ->
+      Lock_table.release_all t ~txn:(txn ti);
+      false
+
+(* Differential check against the full-graph search.  Each step is
+   followed, when [checked], by the comparison under both victim
+   policies and then by the resolution loop of a site (abort the victim,
+   check again); unchecked steps let waits pile up in the dirty set. *)
+let differential ~name ~checked_only =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (pair gen_op (if checked_only then return true else bool)))
+  in
+  QCheck.Test.make ~name ~count:500
+    (QCheck.make gen ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (fun (op, checked) -> pp_op op ^ if checked then "" else "?")
+              ops)))
+    (fun ops ->
+      let t = Lock_table.create () in
+      let agrees () =
+        List.for_all
+          (fun policy ->
+            Lock_table.detect_deadlock ~policy t = reference ~policy t)
+          [ `Youngest; `Oldest ]
+      in
+      let rec resolve n =
+        if n > 10 then false
+        else
+          agrees ()
+          &&
+          match Lock_table.detect_deadlock t with
+          | None -> true
+          | Some victim ->
+              Lock_table.release_all t ~txn:victim;
+              resolve (n + 1)
+      in
+      List.for_all
+        (fun (op, checked) ->
+          let waited = apply t op in
+          (not checked) || (agrees () && ((not waited) || resolve 0)))
+        ops)
+
+let prop_detect_matches_reference_every_step =
+  differential ~name:"scoped detection = full graph, every step"
+    ~checked_only:true
+
+let prop_detect_matches_reference_unchecked_waits =
+  differential ~name:"scoped detection = full graph, unchecked waits"
+    ~checked_only:false
+
+(* Wound-wait never calls [detect_deadlock]: an older requester aborts
+   younger blockers, a younger one waits.  The graph stays acyclic, and
+   the dirty set holds only transactions that still hold or wait. *)
+let prop_wound_wait_no_cycle_no_leak =
+  let gen = QCheck.Gen.(list_size (int_range 1 60) gen_op) in
+  QCheck.Test.make ~name:"wound-wait: no cycle, dirty set bounded" ~count:300
+    (QCheck.make gen ~print:(fun ops -> String.concat " " (List.map pp_op ops)))
+    (fun ops ->
+      let t = Lock_table.create () in
+      let live = Ids.Txn_map.create 8 in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Acq (ti, k, mode) ->
+              let key = Printf.sprintf "k%d" k and tx = txn ti in
+              let blockers =
+                List.filter_map
+                  (fun (h, m) ->
+                    if
+                      (not (Ids.Txn_id.equal h tx))
+                      && (mode = Lock_table.Exclusive || m = Lock_table.Exclusive)
+                    then Some h
+                    else None)
+                  (Lock_table.holders t ~key)
+                @ List.map fst (Lock_table.waiters t ~key)
+              in
+              List.iter
+                (fun other ->
+                  if Ids.Txn_id.older tx other then begin
+                    Lock_table.release_all t ~txn:other;
+                    Ids.Txn_map.remove live other
+                  end)
+                blockers;
+              Ids.Txn_map.replace live tx ();
+              ignore (apply t op)
+          | Release ti ->
+              Ids.Txn_map.remove live (txn ti);
+              ignore (apply t op));
+          if reference t <> None then ok := false;
+          if Lock_table.unchecked_waiters t > Ids.Txn_map.length live then
+            ok := false)
+        ops;
+      if Lock_table.detect_deadlock t <> None then ok := false;
+      for ti = 1 to 6 do
+        Lock_table.release_all t ~txn:(txn ti)
+      done;
+      !ok
+      && Lock_table.unchecked_waiters t = 0
+      && Lock_table.locked_keys t = 0)
+
 (* --- Wfg primitives --------------------------------------------------- *)
 
 let test_wfg_cycle () =
@@ -374,6 +562,14 @@ let () =
           Alcotest.test_case "cycle detected" `Quick test_deadlock_cycle_detected;
           Alcotest.test_case "victim policy" `Quick test_deadlock_victim_policy;
           Alcotest.test_case "upgrade deadlock" `Quick test_upgrade_deadlock;
+          Alcotest.test_case "upgrade at front closes cycle" `Quick
+            test_upgrade_front_closes_cycle;
+          Alcotest.test_case "cycle found after unchecked waits" `Quick
+            test_cycle_found_after_unchecked_waits;
+          QCheck_alcotest.to_alcotest prop_detect_matches_reference_every_step;
+          QCheck_alcotest.to_alcotest
+            prop_detect_matches_reference_unchecked_waits;
+          QCheck_alcotest.to_alcotest prop_wound_wait_no_cycle_no_leak;
           Alcotest.test_case "wfg cycle" `Quick test_wfg_cycle;
           Alcotest.test_case "wfg self edges" `Quick test_wfg_self_edges_ignored;
           QCheck_alcotest.to_alcotest
