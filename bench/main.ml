@@ -103,6 +103,30 @@ let engine_churn () =
   Rt_sim.Engine.run e;
   Rt_sim.Engine.processed e
 
+(* The queue the simulator actually carries: 20k transaction steps in 8
+   chains of short hops (50/400 µs), each parking a 2 s reaper and a
+   200 ms timeout that the next step cancels.  At the end of the chains
+   about 20k live reapers and 7k cancelled timeouts are pending. *)
+let engine_parked_timers () =
+  let e = Rt_sim.Engine.create () in
+  let steps = ref 0 in
+  let rec step timeout () =
+    Rt_sim.Engine.cancel e timeout;
+    incr steps;
+    ignore (Rt_sim.Engine.schedule_after e (T.sec 2) (fun () -> ()));
+    if !steps < 20_000 then begin
+      let timeout = Rt_sim.Engine.schedule_after e (T.ms 200) (fun () -> ()) in
+      let hop = T.us (if !steps land 1 = 0 then 50 else 400) in
+      ignore (Rt_sim.Engine.schedule_after e hop (step timeout))
+    end
+  in
+  for _ = 1 to 8 do
+    let timeout = Rt_sim.Engine.schedule_after e (T.ms 200) (fun () -> ()) in
+    ignore (Rt_sim.Engine.schedule_after e (T.us 50) (step timeout))
+  done;
+  Rt_sim.Engine.run e;
+  Rt_sim.Engine.processed e
+
 let quorum_planning () =
   let rc = Rt_replica.Replica_control.majority ~sites:7 in
   let replicas = List.init 7 (fun i -> i) in
@@ -197,6 +221,8 @@ let tests =
       Test.make ~name:"T6 local 2PL transactions"
         (Staged.stage (fun () -> one_local_txn Rt_cc.Workbench.Two_pl ()));
       Test.make ~name:"F1 engine event churn" (Staged.stage engine_churn);
+      Test.make ~name:"F1b engine parked timers"
+        (Staged.stage engine_parked_timers);
       Test.make ~name:"F2 quorum plan computation"
         (Staged.stage quorum_planning);
       Test.make ~name:"F3 local OCC transactions"

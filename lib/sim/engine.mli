@@ -4,7 +4,34 @@
     scheduled for the same instant fire in scheduling order, which makes runs
     deterministic.  All components of the simulated system (network, storage
     devices, failure injectors, clients) interact only by scheduling events
-    here. *)
+    here.
+
+    {2 Queue structure}
+
+    Events fire in the total order of [(fire_at, seq)], where [seq] is the
+    scheduling sequence number.  The queue holds them in two places:
+
+    - {e Lanes.}  {!schedule_after} puts an event in the FIFO lane of its
+      effective delay [d = fire_at - now] (after the clamp to [now]).  A
+      lane is an intrusive singly linked list found through an int-keyed
+      table; it is dropped when it empties, so one-off random delays do
+      not accumulate.  Only a lane's head is in the heap; popping it
+      pushes the lane's next event.  Thousands of parked timers with the
+      same delay (2 s garbage-collection reapers, protocol timeouts,
+      cancelled timers waiting to drain) therefore cost O(1) each.
+    - {e The heap} ({!Heap}) holds the lane heads and the events of
+      {!schedule_at} (network deliveries, fault injections).
+
+    Why this gives the [(fire_at, seq)] order: a lane's events are
+    appended at a clock that does not go back, with growing [seq], so
+    each lane is sorted by [(fire_at, seq)].  Taking the heap minimum
+    over sorted lanes is then a merge by that total key: exactly the
+    order of one heap holding every event.
+
+    Out-of-order fallback: the clock goes back only after {!fire}, which
+    may move it ahead of events that a later {!run} then fires.  An event
+    that would sort before its lane's tail goes into the heap directly
+    instead, so the lanes stay sorted in every case. *)
 
 type t
 
@@ -67,7 +94,8 @@ val fire : t -> int -> bool
     number {e now}, regardless of its timestamp: the clock advances to
     [max now fire_at] and the thunk runs.  This is the explorer's
     primitive for realising one admissible reordering of the frontier.
-    Returns [false] (and fires nothing) if no live event has that seq. *)
+    Returns [false] (and fires nothing) if no live event has that seq; a
+    cancelled event with that seq is dropped from the queue. *)
 
 val cancel : t -> event_id -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
@@ -111,5 +139,6 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     exactly at [until] do fire. *)
 
 val step : t -> bool
-(** Execute the single next event.  Returns [false] if the queue was
-    empty. *)
+(** Execute the next live event, first draining any cancelled events
+    ahead of it (which moves the clock as {!run} does).  Returns whether
+    an event ran: [false] if no live event was pending. *)

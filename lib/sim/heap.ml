@@ -6,7 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; data = [||]; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -46,19 +45,40 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
+let top_or t ~default = if t.size = 0 then default else t.data.(0)
+
+(* Fill slot [i] with the last element and restore the heap property
+   around it: it may need to move either way. *)
+let remove_at t i =
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    t.data.(i) <- t.data.(t.size);
+    sift_down t i;
+    sift_up t i
+  end
 
 let pop t =
   if t.size = 0 then None
   else begin
     let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    remove_at t 0;
     Some top
   end
+
+let remove_top t = if t.size > 0 then remove_at t 0
+
+let replace_top t x =
+  if t.size = 0 then push t x
+  else begin
+    t.data.(0) <- x;
+    sift_down t 0
+  end
+
+let remove_first t p =
+  let rec find i =
+    if i < t.size then if p t.data.(i) then remove_at t i else find (i + 1)
+  in
+  find 0
 
 let fold f init t =
   let acc = ref init in
@@ -66,7 +86,3 @@ let fold f init t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
