@@ -330,16 +330,6 @@ type probe = {
   aborted : int;
 }
 
-let json_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
-
 let json_placements =
   [
     ("full", None);
@@ -473,7 +463,7 @@ let run_json () =
                ]
              else []))
           json_placements)
-      json_protocols
+      Config.protocols
   in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n  \"schema\": 1,\n  \"probes\": [\n";

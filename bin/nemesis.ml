@@ -56,7 +56,7 @@ let experiment_n1 ~seed ~sites ~clients ~duration =
             (txn_rate r.r_committed duration)
             (abort_pct r.r_committed r.r_aborted))
         drops)
-    Campaign.default_protocols;
+    Rt_core.Config.protocols;
   !violations
 
 (* N2: termination time and message overhead under flapping and
@@ -87,7 +87,7 @@ let experiment_n2 ~seed ~sites ~clients ~duration =
             | Some d -> Printf.sprintf "%dms" (d / Time.ms 1))
             r.r_sent
             (if txns = 0 then 0. else float_of_int r.r_sent /. float_of_int txns))
-        Campaign.default_protocols)
+        Rt_core.Config.protocols)
     scenarios;
   !violations
 

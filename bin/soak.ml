@@ -10,15 +10,16 @@ open Rt_core
 module Mix = Rt_workload.Mix
 module Time = Rt_sim.Time
 
-let commit_protocol_of_string = function
-  | "2pc-prn" -> Ok (Config.Two_phase Rt_commit.Two_pc.Presumed_nothing)
-  | "2pc-pra" | "2pc" -> Ok (Config.Two_phase Rt_commit.Two_pc.Presumed_abort)
-  | "2pc-prc" -> Ok (Config.Two_phase Rt_commit.Two_pc.Presumed_commit)
-  | "3pc" -> Ok Config.Three_phase
-  | "qc" ->
-      Ok (Config.Quorum_commit { commit_quorum = None; abort_quorum = None })
-  | "paxos" -> Ok (Config.Paxos_commit { f = None })
-  | s -> Error (Printf.sprintf "unknown commit protocol %S" s)
+(* Lowercase protocol names, plus "2pc" for 2PC-PrA. *)
+let commit_protocol_of_string s =
+  let wanted = if s = "2pc" then "2pc-pra" else s in
+  match
+    List.find_opt
+      (fun (name, _) -> String.lowercase_ascii name = wanted)
+      Config.protocols
+  with
+  | Some (_, p) -> Ok p
+  | None -> Error (Printf.sprintf "unknown commit protocol %S" s)
 
 let rc_of_string ~sites = function
   | "rowa" -> Ok Rt_replica.Replica_control.rowa

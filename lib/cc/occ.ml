@@ -27,7 +27,7 @@ type t = {
   history : History.t option;
 }
 
-let create ?history _engine kv =
+let create ?history kv =
   {
     kv;
     ctxs = Ids.Txn_map.create 64;

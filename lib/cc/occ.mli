@@ -17,7 +17,7 @@ type t
 
 val name : string
 
-val create : ?history:History.t -> Rt_sim.Engine.t -> Kv.t -> t
+val create : ?history:History.t -> Kv.t -> t
 
 val begin_txn : t -> Ids.Txn_id.t -> unit
 

@@ -35,7 +35,7 @@ module type S = sig
 
   val name : string
 
-  val create : ?history:History.t -> Rt_sim.Engine.t -> Kv.t -> t
+  val create : ?history:History.t -> Kv.t -> t
 
   val begin_txn : t -> Ids.Txn_id.t -> unit
 

@@ -1,12 +1,11 @@
 (** Basic timestamp ordering with deferred writes and the Thomas write
     rule at commit.
 
-    Timestamps are the transaction ids themselves (total order with
-    site tie-break).  A read at timestamp [ts] aborts if a committed
-    write with a larger timestamp already installed a newer value; a
-    write aborts if a later-stamped transaction already read or wrote
-    the key; otherwise operations never block.  Buffered writes install
-    at commit unless an even newer write landed first.
+    The per-key rules are {!Stamps}'s: a read aborts on a newer
+    committed write or an older pending writer, a write aborts on a
+    newer read or write, and nothing ever blocks.  Buffered writes
+    install at commit unless an even newer write landed first.  This
+    scheduler adds the per-transaction write buffer and the stats.
 
     Satisfies {!Scheduler.S}. *)
 
@@ -17,7 +16,7 @@ type t
 
 val name : string
 
-val create : ?history:History.t -> Rt_sim.Engine.t -> Kv.t -> t
+val create : ?history:History.t -> Kv.t -> t
 
 val begin_txn : t -> Ids.Txn_id.t -> unit
 

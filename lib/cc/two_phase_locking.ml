@@ -50,7 +50,7 @@ let create_with_policy ?history ~policy kv =
     policy;
   }
 
-let create ?history _engine kv = create_with_policy ?history ~policy:`Detect kv
+let create ?history kv = create_with_policy ?history ~policy:`Detect kv
 
 let stats t = t.stats
 
@@ -82,18 +82,6 @@ let abort_internal t txn ~deadlock =
       ctx.on_victim <- None;
       forget t txn;
       Option.iter (fun k -> k ()) k
-
-(* Run detection until no cycle remains (aborting one victim can reveal
-   another cycle only in pathological cases, but be thorough). *)
-let resolve_deadlocks t =
-  let rec go () =
-    match Rt_lock.Lock_table.detect_deadlock t.locks with
-    | None -> ()
-    | Some victim ->
-        abort_internal t victim ~deadlock:true;
-        go ()
-  in
-  go ()
 
 (* Transactions a new request may end up waiting behind: holders whose
    mode conflicts, plus everything already queued (FIFO order makes any
@@ -152,7 +140,9 @@ let acquire t ctx ~txn ~key ~mode ~granted ~aborted =
     | Waiting -> (
         ctx.on_victim <- Some aborted;
         match t.policy with
-        | `Detect -> resolve_deadlocks t
+        | `Detect ->
+            Rt_lock.Lock_table.resolve_deadlocks t.locks ~abort:(fun victim ->
+                abort_internal t victim ~deadlock:true)
         | `Wound_wait | `Wait_die -> ())
 
 let read t ~txn ~key ~k =

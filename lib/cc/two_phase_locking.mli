@@ -14,7 +14,7 @@ type policy = [ `Detect | `Wound_wait | `Wait_die ]
 
 val name : string
 
-val create : ?history:History.t -> Rt_sim.Engine.t -> Kv.t -> t
+val create : ?history:History.t -> Kv.t -> t
 
 val create_with_policy : ?history:History.t -> policy:policy -> Kv.t -> t
 

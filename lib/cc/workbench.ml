@@ -112,12 +112,12 @@ let run ?(seed = 0) ?(check_history = false) ?(op_cost = Time.us 2)
     | Two_pl_wound_wait -> run_2pl `Wound_wait
     | Two_pl_wait_die -> run_2pl `Wait_die
     | Timestamp ->
-        let st = Timestamp_order.create ?history engine kv in
+        let st = Timestamp_order.create ?history kv in
         driver (module Timestamp_order) st ~engine ~rng ~clients ~mix ~horizon
           ~op_cost ~ordered;
         Timestamp_order.stats st
     | Optimistic ->
-        let st = Occ.create ?history engine kv in
+        let st = Occ.create ?history kv in
         driver (module Occ) st ~engine ~rng ~clients ~mix ~horizon ~op_cost
           ~ordered;
         Occ.stats st

@@ -342,21 +342,7 @@ let recover sim site =
       | P_three_pc | P_quorum _ -> ()
   end
 
-(* rt_lint: allow no-toplevel-mutable-state -- opt-in debug tap, never read by simulation logic *)
-let debug_hook : (string -> unit) option ref = ref None
-
-let dbg fmt = Printf.ksprintf (fun s -> match !debug_hook with Some f -> f s | None -> ()) fmt
-
 let process_event sim event =
-  (match event with
-   | Deliver { src; dst; msg } ->
-       dbg "deliver %d->%d %s" src dst (Format.asprintf "%a" pp_msg msg)
-   | Log_complete { site; role; tag } ->
-       dbg "logdone site=%d role=%s %s" site
-         (match role with Coord -> "C" | Part -> "P")
-         (Format.asprintf "%a" pp_log_tag tag)
-   | Notice_down { dst; down } -> dbg "down %d noticed at %d" down dst
-   | Kick { site; _ } -> dbg "kick %d" site);
   match event with
   | Deliver { src; dst; msg } ->
       let role = if routed_to_coord sim ~dst msg then Coord else Part in
@@ -401,9 +387,6 @@ let fire_some_timer sim =
             List.nth enabled (Rt_sim.Rng.int rng (List.length enabled))
       in
       Hashtbl.remove sim.timers (site, role, t);
-      dbg "timeout site=%d role=%s %s" site
-        (match role with Coord -> "C" | Part -> "P")
-        (Format.asprintf "%a" pp_timer t);
       sim.timeouts_fired <- sim.timeouts_fired + 1;
       feed sim ~site ~role (Timeout t);
       true

@@ -42,10 +42,6 @@ type outcome = {
   timeouts_fired : int;
 }
 
-val debug_hook : (string -> unit) option ref
-(** When set, every processed event is described through the callback —
-    a development aid for reproducing property-test counterexamples. *)
-
 val run :
   ?seed:int ->
   ?crashes:(Ids.site_id * int) list ->

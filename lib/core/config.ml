@@ -12,6 +12,18 @@ let commit_protocol_name = function
   | Quorum_commit _ -> "QC"
   | Paxos_commit _ -> "Paxos"
 
+let protocols =
+  List.map
+    (fun p -> (commit_protocol_name p, p))
+    [
+      Two_phase Rt_commit.Two_pc.Presumed_nothing;
+      Two_phase Rt_commit.Two_pc.Presumed_abort;
+      Two_phase Rt_commit.Two_pc.Presumed_commit;
+      Three_phase;
+      Quorum_commit { commit_quorum = None; abort_quorum = None };
+      Paxos_commit { f = None };
+    ]
+
 type concurrency = Locking | Timestamp
 
 let concurrency_name = function

@@ -14,6 +14,11 @@ type commit_protocol =
 
 val commit_protocol_name : commit_protocol -> string
 
+val protocols : (string * commit_protocol) list
+(** The six commit protocols at their defaults, keyed by
+    {!commit_protocol_name}: 2PC-PrN, 2PC-PrA, 2PC-PrC, 3PC, QC
+    (majority quorums) and Paxos (largest F the participants allow). *)
+
 type concurrency = Locking | Timestamp
 (** Distributed concurrency control at the replicas: strict two-phase
     locking (waits, deadlock handling), or basic timestamp ordering with

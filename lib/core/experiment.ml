@@ -33,16 +33,6 @@ let sandbox_protocols ~sites =
     Sandbox.P_paxos { f = (sites - 1) / 2 };
   ]
 
-let cluster_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
-
 (* Run a closed-loop workload and report client stats plus the cluster. *)
 let loaded_run ?(seed = 1) ?(retry_aborts = true) ?(ordered_keys = true)
     ?(route_by_shard = false) ~config ~mix ~clients ~duration () =
@@ -166,7 +156,7 @@ let t2 =
                     f2dec (ms 99.);
                     Table.cell_i (Sample.count lat);
                   ])
-              cluster_protocols;
+              Config.protocols;
             Table.add_rule table)
           [ 3; 5; 7 ];
         table);

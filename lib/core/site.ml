@@ -59,7 +59,6 @@ type part_ctx = {
   mutable pt_sweep : Engine.event_id option;  (* orphan-sweep timer *)
   pt_timers : (P.timer, Engine.event_id) Hashtbl.t;
   mutable pt_waits : wait list;
-  mutable pt_to_keys : string list;  (* keys carrying our TO pending mark *)
 }
 
 type op_wait =
@@ -80,12 +79,6 @@ type op_wait =
       ww_timer : Engine.event_id;
       ww_k : (unit, abort_reason) Result.t -> unit;
     }
-
-type to_entry = {
-  mutable rts : Tid.t option;
-  mutable wts : Tid.t option;
-  mutable to_pending : Tid.t list;
-}
 
 type coord_ctx = {
   co_txn : Tid.t;
@@ -141,9 +134,8 @@ type t = {
   mutable catching : bool;
   mutable incarnation : int;
   (* Timestamp-ordering state (used when config.concurrency = Timestamp):
-     per-key committed read/write stamps plus pending uncommitted
-     writers. *)
-  to_table : (string, to_entry) Hashtbl.t;
+     per-key read and committed write stamps plus pending writers. *)
+  stamps : Rt_cc.Stamps.t;
   parts : part_ctx Ids.Txn_map.t;
   coords : coord_ctx Ids.Txn_map.t;
   presumed : P.decision Ids.Txn_map.t;
@@ -184,30 +176,6 @@ let active_participants t =
   Ids.Txn_map.fold
     (fun _ ctx acc -> if ctx.pt_resolved then acc else acc + 1)
     t.parts 0
-
-let participant_debug t =
-  Ids.Txn_map.fold
-    (fun txn ctx acc ->
-      if ctx.pt_resolved then acc
-      else
-        ( txn,
-          Format.asprintf "%a: machine=%s doomed=%s state=%s blocked=%b"
-            Tid.pp txn
-            (if ctx.pt_machine = None then "none" else "yes")
-            (match ctx.pt_doomed with
-            | None -> "no"
-            | Some r -> Format.asprintf "%a" Msg.pp_refusal r)
-            (match ctx.pt_machine with
-            | Some m ->
-                Format.asprintf "%a" P.pp_participant_state m.Erased.pstate
-            | None -> "-")
-            (match ctx.pt_machine with
-            | Some m -> m.Erased.blocked
-            | None -> false) )
-        :: acc)
-    t.parts []
-  |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
-  |> List.map snd
 
 let blocked_participants t =
   (* rt_lint: allow deterministic-iteration -- commutative count *)
@@ -283,7 +251,7 @@ let create ~engine ~id ~config ~send ~counters =
     corruption_detected = 0;
     cp_fallbacks = 0;
     locks = Lock.create ();
-    to_table = Hashtbl.create 256;
+    stamps = Rt_cc.Stamps.create ();
     hb = None;
     up = true;
     catching = false;
@@ -456,11 +424,29 @@ let part_ctx t txn =
   | Some ctx -> Some ctx
   | None -> None
 
-(* Forward reference for the orphan sweeper (doom_part is defined below). *)
-let doom_part_ref :
-    (t -> part_ctx -> Msg.refusal -> unit) ref =
-  (* rt_lint: allow no-toplevel-mutable-state -- write-once forward declaration holding code, bound at module init; carries no per-cluster state *)
-  ref (fun _ _ _ -> ())
+(* Kill a transaction's local execution (deadlock victim, lock timeout,
+   coordinator abort).  Outstanding lock waits are refused; locks drop. *)
+let doom_part t ctx reason =
+  if ctx.pt_doomed = None && not ctx.pt_resolved then begin
+    ctx.pt_doomed <- Some reason;
+    (match reason with
+    | Msg.R_deadlock -> Counter.incr t.counters "deadlock_victims"
+    | Msg.R_lock_timeout -> Counter.incr t.counters "lock_timeouts"
+    | Msg.R_order -> Counter.incr t.counters "order_conflicts"
+    | Msg.R_doomed | Msg.R_down -> ());
+    let waits = ctx.pt_waits in
+    ctx.pt_waits <- [];
+    List.iter
+      (fun w ->
+        if not w.w_done then begin
+          w.w_done <- true;
+          Option.iter (Engine.cancel t.engine) w.w_timer;
+          w.w_refuse reason
+        end)
+      waits;
+    Rt_cc.Stamps.release t.stamps ~txn:ctx.pt_txn;
+    Lock.release_all t.locks ~txn:ctx.pt_txn
+  end
 
 (* Forward reference for probe initiation (defined with the probe
    machinery below). *)
@@ -483,7 +469,6 @@ let get_or_create_part t txn =
           pt_sweep = None;
           pt_timers = Hashtbl.create 4;
           pt_waits = [];
-          pt_to_keys = [];
         }
       in
       Ids.Txn_map.replace t.parts txn ctx;
@@ -509,7 +494,7 @@ let get_or_create_part t txn =
                     ctx.pt_sweep <- None;
                     if not ctx.pt_resolved then
                       if ctx.pt_machine = None then begin
-                        !doom_part_ref t ctx Msg.R_doomed;
+                        doom_part t ctx Msg.R_doomed;
                         ctx.pt_resolved <- true;
                         Ids.Txn_map.replace t.presumed txn P.Abort;
                         Ids.Txn_map.replace t.decided txn P.Abort;
@@ -530,31 +515,6 @@ let cancel_sweep t ctx =
 let note_first_lsn t txn lsn =
   if not (Ids.Txn_map.mem t.first_lsn txn) then
     Ids.Txn_map.replace t.first_lsn txn lsn
-
-let to_entry_for t key =
-  match Hashtbl.find_opt t.to_table key with
-  | Some e -> e
-  | None ->
-      let e = { rts = None; wts = None; to_pending = [] } in
-      Hashtbl.add t.to_table key e;
-      e
-
-let ts_lt a b =
-  match (a, b) with
-  | _, None -> false
-  | None, Some _ -> true
-  | Some x, Some y -> Tid.compare x y < 0
-
-let to_clear_pending t ctx =
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt t.to_table key with
-      | Some e ->
-          e.to_pending <-
-            List.filter (fun p -> not (Tid.equal p ctx.pt_txn)) e.to_pending
-      | None -> ())
-    ctx.pt_to_keys;
-  ctx.pt_to_keys <- []
 
 (* Machine reclamation is a *delayed* cleanup, not a prompt continuation:
    it must be labelled as a timer, not [Internal], or an explorer that
@@ -702,12 +662,7 @@ and resolve_part t ctx (d : P.decision) =
               match t.config.concurrency with
               | Config.Locking -> version > Kv.version t.kv key
               | Config.Timestamp ->
-                  let e = to_entry_for t key in
-                  if ts_lt (Some ctx.pt_txn) e.wts then false
-                  else begin
-                    e.wts <- Some ctx.pt_txn;
-                    true
-                  end
+                  Rt_cc.Stamps.install t.stamps ~txn:ctx.pt_txn ~key
             in
             if apply then Kv.set t.kv ~key ~value ~version)
           ctx.pt_writes;
@@ -716,7 +671,7 @@ and resolve_part t ctx (d : P.decision) =
         maybe_checkpoint t
     | P.Abort -> Counter.incr t.counters "participant_aborts");
     Ids.Txn_map.remove t.first_lsn ctx.pt_txn;
-    to_clear_pending t ctx;
+    Rt_cc.Stamps.release t.stamps ~txn:ctx.pt_txn;
     Lock.release_all t.locks ~txn:ctx.pt_txn;
     !notify_coord_decided_ref t ctx.pt_txn d;
     gc_part t ctx
@@ -749,52 +704,6 @@ and maybe_checkpoint t =
     if upto > Wal.first_lsn t.wal - 1 then Wal.truncate t.wal ~upto;
     Counter.incr t.counters "checkpoints"
   end
-
-(* Kill a transaction's local execution (deadlock victim, lock timeout,
-   coordinator abort).  Outstanding lock waits are refused; locks drop. *)
-let doom_part t ctx reason =
-  if ctx.pt_doomed = None && not ctx.pt_resolved then begin
-    ctx.pt_doomed <- Some reason;
-    (match reason with
-    | Msg.R_deadlock -> Counter.incr t.counters "deadlock_victims"
-    | Msg.R_lock_timeout -> Counter.incr t.counters "lock_timeouts"
-    | Msg.R_order -> Counter.incr t.counters "order_conflicts"
-    | Msg.R_doomed | Msg.R_down -> ());
-    let waits = ctx.pt_waits in
-    ctx.pt_waits <- [];
-    List.iter
-      (fun w ->
-        if not w.w_done then begin
-          w.w_done <- true;
-          Option.iter (Engine.cancel t.engine) w.w_timer;
-          w.w_refuse reason
-        end)
-      waits;
-    to_clear_pending t ctx;
-    Lock.release_all t.locks ~txn:ctx.pt_txn
-  end
-
-let () = doom_part_ref := doom_part
-
-(* After a lock request queues, check for (local) deadlock and kill the
-   victim immediately. *)
-let resolve_local_deadlocks t =
-  let rec go n =
-    if n > 100_000 then
-      failwith "resolve_local_deadlocks: livelock detected"
-    else
-      match Lock.detect_deadlock t.locks with
-      | None -> ()
-      | Some victim ->
-          (match part_ctx t victim with
-          | Some ctx -> doom_part t ctx Msg.R_deadlock
-          | None ->
-              (* A victim with no participant context can only be a stale
-                 entry; drop its locks so the system moves on. *)
-              Lock.release_all t.locks ~txn:victim);
-          go (n + 1)
-  in
-  go 0
 
 (* Acquire a lock on behalf of a remote (or local) operation, replying
    through [reply] exactly once. *)
@@ -831,7 +740,13 @@ let acquire_for_op t ctx ~mode ~key ~(on_granted : unit -> unit)
                    if not wait.w_done then doom_part t ctx Msg.R_lock_timeout))
           in
           wait.w_timer <- Some timer;
-          resolve_local_deadlocks t;
+          (* Kill local deadlock victims at once.  A victim with no
+             participant context can only be a stale entry; dropping its
+             locks lets the system move on. *)
+          Lock.resolve_deadlocks t.locks ~abort:(fun victim ->
+              match part_ctx t victim with
+              | Some vctx -> doom_part t vctx Msg.R_deadlock
+              | None -> Lock.release_all t.locks ~txn:victim);
           if t.config.probe_deadlocks && not wait.w_done then
             List.iter
               (fun blocker ->
@@ -849,25 +764,15 @@ let handle_read_req t ~txn ~key ~(reply : (string option * int, Msg.refusal) Res
     match t.config.concurrency with
     | Config.Timestamp ->
         if ctx.pt_doomed <> None then reply (Error Msg.R_doomed)
-        else begin
-          let e = to_entry_for t key in
-          let blocked_by_pending =
-            List.exists
-              (fun p -> (not (Tid.equal p txn)) && Tid.compare p txn <= 0)
-              e.to_pending
-          in
-          if ts_lt (Some txn) e.wts || blocked_by_pending then begin
-            doom_part t ctx Msg.R_order;
-            reply (Error Msg.R_order)
-          end
-          else begin
-            if ts_lt e.rts (Some txn) then e.rts <- Some txn;
-            reply
-              (Ok
-                 ( Option.map (fun (i : Kv.item) -> i.value) (Kv.get t.kv key),
-                   Kv.version t.kv key ))
-          end
+        else if not (Rt_cc.Stamps.read t.stamps ~txn ~key) then begin
+          doom_part t ctx Msg.R_order;
+          reply (Error Msg.R_order)
         end
+        else
+          reply
+            (Ok
+               ( Option.map (fun (i : Kv.item) -> i.value) (Kv.get t.kv key),
+                 Kv.version t.kv key ))
     | Config.Locking ->
         acquire_for_op t ctx ~mode:Lock.Shared ~key
           ~on_granted:(fun () ->
@@ -890,20 +795,11 @@ let handle_write_req t ~txn ~key ~(reply : (int, Msg.refusal) Result.t -> unit)
   match t.config.concurrency with
   | Config.Timestamp ->
       if ctx.pt_doomed <> None then reply (Error Msg.R_doomed)
-      else begin
-        let e = to_entry_for t key in
-        if ts_lt (Some txn) e.rts || ts_lt (Some txn) e.wts then begin
-          doom_part t ctx Msg.R_order;
-          reply (Error Msg.R_order)
-        end
-        else begin
-          if not (List.exists (Tid.equal txn) e.to_pending) then begin
-            e.to_pending <- txn :: e.to_pending;
-            ctx.pt_to_keys <- key :: ctx.pt_to_keys
-          end;
-          reply (Ok (Kv.version t.kv key))
-        end
+      else if not (Rt_cc.Stamps.write t.stamps ~txn ~key) then begin
+        doom_part t ctx Msg.R_order;
+        reply (Error Msg.R_order)
       end
+      else reply (Ok (Kv.version t.kv key))
   | Config.Locking ->
       acquire_for_op t ctx ~mode:Lock.Exclusive ~key
         ~on_granted:(fun () -> reply (Ok (Kv.version t.kv key)))
@@ -1695,7 +1591,7 @@ let crash ?torn t =
     | _ -> ());
     Kv.clear t.kv;
     t.locks <- Lock.create ();
-    Hashtbl.reset t.to_table;
+    Rt_cc.Stamps.reset t.stamps;
     (* Clients waiting on this coordinator learn the site died. *)
     let pending =
       Ids.Txn_map.fold
@@ -1904,25 +1800,7 @@ let preload t ~entries =
 (* Delivery entry point                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Opt-in diagnostic ring buffer of recent deliveries (debugging aid). *)
-(* rt_lint: allow no-toplevel-mutable-state -- opt-in debug tap, never read by simulation logic *)
-let trace_deliveries = ref false
-
-(* rt_lint: allow no-toplevel-mutable-state -- opt-in debug tap, never read by simulation logic *)
-let recent : string list ref = ref []
-
-let note_recent t ~src msg =
-  if !trace_deliveries then
-    recent :=
-      Format.asprintf "site=%d src=%d %a" t.id src Msg.pp msg
-      :: (if List.length !recent > 30 then
-            List.filteri (fun i _ -> i < 29) !recent
-          else !recent)
-
-let dump_recent () = List.rev !recent
-
 let receive t ~src (msg : Msg.t) =
-  note_recent t ~src msg;
   if t.up then
     match (msg.txn, msg.payload) with
     | None, Msg.Heartbeat ->
@@ -1962,11 +1840,10 @@ let receive t ~src (msg : Msg.t) =
 let () = receive_ref := receive
 
 (* ------------------------------------------------------------------ *)
-(* Canonical state dump / fingerprint (schedule explorer)              *)
+(* Canonical state dump (schedule explorer)                            *)
 (* ------------------------------------------------------------------ *)
 
 let tid_str txn = Format.asprintf "%a" Tid.pp txn
-let tid_opt = function None -> "-" | Some txn -> tid_str txn
 let sset_str s = String.concat "," (List.map string_of_int (Sset.elements s))
 
 let writes_str ws =
@@ -2030,13 +1907,7 @@ let dump t =
       in
       add "%s{h=%s;w=%s};" key (side holders) (side waiting))
     (Lock.dump t.locks);
-  add "\nto:";
-  Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.to_table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (k, e) ->
-         add "%s{r=%s;w=%s;p=%s};" k (tid_opt e.rts) (tid_opt e.wts)
-           (String.concat ","
-              (List.map tid_str (List.sort Tid.compare e.to_pending))));
+  add "\nto:%s" (Rt_cc.Stamps.dump t.stamps);
   add "\nparts:";
   Ids.Txn_map.fold (fun txn ctx acc -> (txn, ctx) :: acc) t.parts []
   |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
@@ -2054,7 +1925,7 @@ let dump t =
            (Option.is_some ctx.pt_sweep)
            (timers_str ctx.pt_timers)
            (List.length (List.filter (fun w -> not w.w_done) ctx.pt_waits))
-           (String.concat "," (List.sort String.compare ctx.pt_to_keys)));
+           (String.concat "," (Rt_cc.Stamps.pending_keys t.stamps ~txn)));
   add "\ncoords:";
   Ids.Txn_map.fold (fun txn ctx acc -> (txn, ctx) :: acc) t.coords []
   |> List.sort (fun (a, _) (b, _) -> Tid.compare a b)
@@ -2115,5 +1986,3 @@ let dump t =
   add "\nview:%s\n"
     (String.concat "," (List.map string_of_int (up_view t)));
   Buffer.contents buf
-
-let fingerprint t = Digest.to_hex (Digest.string (dump t))

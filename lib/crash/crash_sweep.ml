@@ -1,6 +1,5 @@
 open Rt_sim
 open Rt_core
-module Two_pc = Rt_commit.Two_pc
 
 type case = {
   cs_protocol : string;
@@ -43,16 +42,14 @@ type report = {
 }
 
 let default_protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    (* F = 1 keeps a 2F+1 = 3 acceptor group even at n = 5, so the larger
-       sweep has genuine non-acceptor participants to crash. *)
-    ("Paxos", Config.Paxos_commit { f = Some 1 });
-  ]
+  List.map
+    (function
+      (* F = 1 keeps a 2F+1 = 3 acceptor group even at n = 5, so the larger
+         sweep has genuine non-acceptor participants to crash. *)
+      | name, Config.Paxos_commit _ ->
+          (name, Config.Paxos_commit { f = Some 1 })
+      | p -> p)
+    Config.protocols
 
 let default_ns = [ 3; 5 ]
 

@@ -222,15 +222,7 @@ let opts_of sc ~sleep =
 
 (* --- scenario matrix --------------------------------------------------- *)
 
-let protocols =
-  [
-    ("2PC-PrN", Config.Two_phase Rt_commit.Two_pc.Presumed_nothing);
-    ("2PC-PrA", Config.Two_phase Rt_commit.Two_pc.Presumed_abort);
-    ("2PC-PrC", Config.Two_phase Rt_commit.Two_pc.Presumed_commit);
-    ("3PC", Config.Three_phase);
-    ("QC", Config.Quorum_commit { commit_quorum = None; abort_quorum = None });
-    ("Paxos", Config.Paxos_commit { f = None });
-  ]
+let protocols = Config.protocols
 
 (* One replicated write: under ROWA every site is a write participant,
    which is what the durability invariant needs, at the smallest depth

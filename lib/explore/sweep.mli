@@ -30,7 +30,8 @@ type scenario = {
 }
 
 val protocols : (string * Rt_core.Config.commit_protocol) list
-(** The six commit protocols, keyed by report name. *)
+(** {!Rt_core.Config.protocols}: the six commit protocols, keyed by
+    report name. *)
 
 val scenario :
   ?sharded:bool ->

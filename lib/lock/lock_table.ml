@@ -325,6 +325,21 @@ let detect_deadlock ?policy t =
     | None -> None
     | Some cycle -> Some (Wfg.victim ?policy cycle)
 
+(* The bound turns an [abort] that leaves its victim's locks in place
+   into an error instead of a hang. *)
+let resolve_deadlocks t ~abort =
+  let rec go n =
+    if n > 100_000 then
+      failwith "Lock_table.resolve_deadlocks: livelock detected"
+    else
+      match detect_deadlock t with
+      | None -> ()
+      | Some victim ->
+          abort victim;
+          go (n + 1)
+  in
+  go 0
+
 let locked_keys t = Hashtbl.length t.table
 
 let unchecked_waiters t = Ids.Txn_map.length t.dirty

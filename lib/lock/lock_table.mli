@@ -92,6 +92,12 @@ val detect_deadlock :
     holders and queues give equal answers, and {!dump} need not show
     it. *)
 
+val resolve_deadlocks : t -> abort:(Ids.Txn_id.t -> unit) -> unit
+(** Break every deadlock: while {!detect_deadlock} (youngest-victim
+    policy) names a victim, call [abort] on it.  [abort] must release
+    the victim's locks (directly or through {!release_all}); after
+    100_000 victims in one call it raises [Failure] rather than loop. *)
+
 val unchecked_waiters : t -> int
 (** Size of the dirty set: transactions that queued a request since the
     last {!detect_deadlock} that returned [None] and have not released

@@ -9,9 +9,6 @@
 open Rt_sim
 open Rt_core
 
-val default_protocols : (string * Config.commit_protocol) list
-(** 2PC (PrN/PrA/PrC), 3PC, quorum commit, and Paxos Commit. *)
-
 val outside_safety_envelope :
   protocol:Config.commit_protocol -> steps:Scenario.step list -> string option
 (** Upfront safety-envelope verdict for one campaign cell, decided from

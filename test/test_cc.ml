@@ -10,17 +10,16 @@ module Kv = Rt_storage.Kv
 let txn seq = Ids.Txn_id.make ~origin:0 ~seq ~start_ts:(Time.us seq)
 
 let setup () =
-  let engine = Engine.create () in
   let kv = Kv.create () in
   Kv.set kv ~key:"a" ~value:"a0" ~version:1;
   Kv.set kv ~key:"b" ~value:"b0" ~version:1;
-  (engine, kv)
+  kv
 
 (* --- 2PL --------------------------------------------------------------- *)
 
 let test_2pl_read_write_commit () =
-  let engine, kv = setup () in
-  let st = Two_phase_locking.create engine kv in
+  let kv = setup () in
+  let st = Two_phase_locking.create kv in
   let t1 = txn 1 in
   Two_phase_locking.begin_txn st t1;
   let read_value = ref None in
@@ -43,8 +42,8 @@ let test_2pl_read_write_commit () =
   Alcotest.(check int) "version bumped" 2 (Kv.version kv "a")
 
 let test_2pl_blocks_then_grants () =
-  let engine, kv = setup () in
-  let st = Two_phase_locking.create engine kv in
+  let kv = setup () in
+  let st = Two_phase_locking.create kv in
   let t1 = txn 1 and t2 = txn 2 in
   Two_phase_locking.begin_txn st t1;
   Two_phase_locking.begin_txn st t2;
@@ -60,8 +59,8 @@ let test_2pl_blocks_then_grants () =
     (Some (Some "x")) !t2_read
 
 let test_2pl_deadlock_victim () =
-  let engine, kv = setup () in
-  let st = Two_phase_locking.create engine kv in
+  let kv = setup () in
+  let st = Two_phase_locking.create kv in
   let t1 = txn 1 and t2 = txn 2 in
   Two_phase_locking.begin_txn st t1;
   Two_phase_locking.begin_txn st t2;
@@ -83,8 +82,8 @@ let test_2pl_deadlock_victim () =
 (* --- TO ---------------------------------------------------------------- *)
 
 let test_to_rejects_late_read () =
-  let engine, kv = setup () in
-  let st = Timestamp_order.create engine kv in
+  let kv = setup () in
+  let st = Timestamp_order.create kv in
   let old_txn = txn 1 and new_txn = txn 2 in
   Timestamp_order.begin_txn st old_txn;
   Timestamp_order.begin_txn st new_txn;
@@ -101,8 +100,8 @@ let test_to_rejects_late_read () =
     (Timestamp_order.stats st).order_aborts
 
 let test_to_rejects_late_write () =
-  let engine, kv = setup () in
-  let st = Timestamp_order.create engine kv in
+  let kv = setup () in
+  let st = Timestamp_order.create kv in
   let old_txn = txn 1 and new_txn = txn 2 in
   Timestamp_order.begin_txn st old_txn;
   Timestamp_order.begin_txn st new_txn;
@@ -119,8 +118,8 @@ let test_to_rejects_late_write () =
     (!result = `Abort)
 
 let test_to_thomas_write_rule () =
-  let engine, kv = setup () in
-  let st = Timestamp_order.create engine kv in
+  let kv = setup () in
+  let st = Timestamp_order.create kv in
   let t1 = txn 1 and t2 = txn 2 in
   Timestamp_order.begin_txn st t1;
   Timestamp_order.begin_txn st t2;
@@ -135,11 +134,62 @@ let test_to_thomas_write_rule () =
   Alcotest.(check (option string)) "newest value retained" (Some "t2")
     (Option.map (fun (i : Kv.item) -> i.value) (Kv.get kv "a"))
 
+(* --- TO rules shared with the replicas (Stamps) -------------------------- *)
+
+let stamp = Ids.Txn_id.to_string
+
+let test_stamps_pending_writer_order () =
+  let st = Stamps.create () in
+  let older = txn 1 and writer = txn 2 and younger = txn 3 in
+  Alcotest.(check bool) "write admitted" true (Stamps.write st ~txn:writer ~key:"a");
+  (* The younger read would have to see the pending value: refused. *)
+  Alcotest.(check bool) "older pending writer refuses younger read" false
+    (Stamps.read st ~txn:younger ~key:"a");
+  (* The older read precedes the write in timestamp order: admitted. *)
+  Alcotest.(check bool) "younger pending writer admits older read" true
+    (Stamps.read st ~txn:older ~key:"a");
+  Alcotest.(check bool) "own pending write does not block" true
+    (Stamps.read st ~txn:writer ~key:"a");
+  Alcotest.(check string) "read stamp raised to the writer"
+    (Printf.sprintf "a{r=%s;w=-;p=%s};" (stamp writer) (stamp writer))
+    (Stamps.dump st)
+
+let test_stamps_release_clears_pending () =
+  let st = Stamps.create () in
+  let writer = txn 1 and reader = txn 2 in
+  ignore (Stamps.write st ~txn:writer ~key:"b");
+  ignore (Stamps.write st ~txn:writer ~key:"a");
+  ignore (Stamps.write st ~txn:writer ~key:"a");
+  Alcotest.(check (list string)) "marks held" [ "a"; "b" ]
+    (Stamps.pending_keys st ~txn:writer);
+  Stamps.release st ~txn:writer;
+  Alcotest.(check (list string)) "marks cleared" []
+    (Stamps.pending_keys st ~txn:writer);
+  Alcotest.(check string) "no pending writers left" "a{r=-;w=-;p=};b{r=-;w=-;p=};"
+    (Stamps.dump st);
+  Alcotest.(check bool) "younger read admitted after release" true
+    (Stamps.read st ~txn:reader ~key:"a")
+
+let test_stamps_thomas_install () =
+  let st = Stamps.create () in
+  let t1 = txn 1 and t2 = txn 2 in
+  Alcotest.(check bool) "newer install applies" true
+    (Stamps.install st ~txn:t2 ~key:"a");
+  Alcotest.(check bool) "older install skipped" false
+    (Stamps.install st ~txn:t1 ~key:"a");
+  Alcotest.(check string) "write stamp untouched"
+    (Printf.sprintf "a{r=-;w=%s;p=};" (stamp t2))
+    (Stamps.dump st);
+  Alcotest.(check bool) "older write refused" false
+    (Stamps.write st ~txn:t1 ~key:"a");
+  Alcotest.(check bool) "older read refused" false
+    (Stamps.read st ~txn:t1 ~key:"a")
+
 (* --- OCC --------------------------------------------------------------- *)
 
 let test_occ_validation_failure () =
-  let engine, kv = setup () in
-  let st = Occ.create engine kv in
+  let kv = setup () in
+  let st = Occ.create kv in
   let t1 = txn 1 and t2 = txn 2 in
   Occ.begin_txn st t1;
   Occ.begin_txn st t2;
@@ -156,8 +206,8 @@ let test_occ_validation_failure () =
     (Occ.stats st).validation_aborts
 
 let test_occ_disjoint_commits () =
-  let engine, kv = setup () in
-  let st = Occ.create engine kv in
+  let kv = setup () in
+  let st = Occ.create kv in
   let t1 = txn 1 and t2 = txn 2 in
   Occ.begin_txn st t1;
   Occ.begin_txn st t2;
@@ -265,9 +315,8 @@ let test_contention_hurts_occ_and_to () =
 (* --- deadlock prevention policies -------------------------------------- *)
 
 let test_wound_wait_older_wounds () =
-  let engine, kv = setup () in
+  let kv = setup () in
   let st = Two_phase_locking.create_with_policy ~policy:`Wound_wait kv in
-  ignore engine;
   let old_t = txn 1 and young_t = txn 2 in
   Two_phase_locking.begin_txn st young_t;
   Two_phase_locking.begin_txn st old_t;
@@ -287,7 +336,7 @@ let test_wound_wait_older_wounds () =
     | `Committed -> Alcotest.fail "wounded txn must not commit")
 
 let test_wound_wait_younger_waits () =
-  let _, kv = setup () in
+  let kv = setup () in
   let st = Two_phase_locking.create_with_policy ~policy:`Wound_wait kv in
   let old_t = txn 1 and young_t = txn 2 in
   Two_phase_locking.begin_txn st old_t;
@@ -304,7 +353,7 @@ let test_wound_wait_younger_waits () =
     (!young_result = `Ok)
 
 let test_wait_die_younger_dies () =
-  let _, kv = setup () in
+  let kv = setup () in
   let st = Two_phase_locking.create_with_policy ~policy:`Wait_die kv in
   let old_t = txn 1 and young_t = txn 2 in
   Two_phase_locking.begin_txn st old_t;
@@ -318,7 +367,7 @@ let test_wait_die_younger_dies () =
     (!young_result = `Abort)
 
 let test_wait_die_older_waits () =
-  let _, kv = setup () in
+  let kv = setup () in
   let st = Two_phase_locking.create_with_policy ~policy:`Wait_die kv in
   let old_t = txn 1 and young_t = txn 2 in
   Two_phase_locking.begin_txn st young_t;
@@ -370,6 +419,14 @@ let () =
             test_to_rejects_late_write;
           Alcotest.test_case "thomas write rule" `Quick
             test_to_thomas_write_rule;
+        ] );
+      ( "stamps",
+        [
+          Alcotest.test_case "pending writer order" `Quick
+            test_stamps_pending_writer_order;
+          Alcotest.test_case "release clears pending" `Quick
+            test_stamps_release_clears_pending;
+          Alcotest.test_case "thomas install" `Quick test_stamps_thomas_install;
         ] );
       ( "occ",
         [

@@ -9,15 +9,7 @@ module Mix = Rt_workload.Mix
 let ops_w kvs = List.map (fun (k, v) -> Mix.Write (k, v)) kvs
 let ops_r keys = List.map (fun k -> Mix.Read k) keys
 
-let all_commit_protocols =
-  [
-    Config.Two_phase Rt_commit.Two_pc.Presumed_nothing;
-    Config.Two_phase Rt_commit.Two_pc.Presumed_abort;
-    Config.Two_phase Rt_commit.Two_pc.Presumed_commit;
-    Config.Three_phase;
-    Config.Quorum_commit { commit_quorum = None; abort_quorum = None };
-    Config.Paxos_commit { f = None };
-  ]
+let all_commit_protocols = List.map snd Config.protocols
 
 let mk ?(sites = 3) ?(commit = Config.Two_phase Rt_commit.Two_pc.Presumed_abort)
     ?(rc = Rt_replica.Replica_control.rowa) ?(seed = 1) () =
@@ -335,6 +327,73 @@ let test_timestamp_rejects_stale_write () =
   | Some (Ok ()) -> Alcotest.fail "stale write accepted"
   | None -> Alcotest.fail "write never answered"
 
+let test_timestamp_read_behind_prepared_write () =
+  (* An older transaction's write is prepared at both other replicas,
+     but its coordinator crashes before the decision reaches them, which
+     leaves them blocked in doubt.  A younger
+     read must not read around that undecided write: the replica
+     refuses it on timestamp order. *)
+  let config =
+    { (Config.default ~sites:3 ()) with
+      concurrency = Config.Timestamp; seed = 29 }
+  in
+  let cluster = Cluster.create config in
+  check_committed (run_one cluster ~site:0 ~ops:(ops_w [ ("k", "0") ]));
+  let s0 = Cluster.site cluster 0 and s1 = Cluster.site cluster 1
+  and s2 = Cluster.site cluster 2 in
+  let old_txn = Option.get (Site.begin_txn s0) in
+  let written = ref false in
+  Site.txn_write s0 old_txn ~key:"k" ~value:"old" ~k:(fun r ->
+      written := r = Ok ());
+  run_for cluster (Time.ms 20);
+  Alcotest.(check bool) "older write accepted" true !written;
+  (* Both replicas took part in the first transaction too, so progress
+     is counted against their state before the commit starts. *)
+  let count_prepared site =
+    let d = Site.dump site and sub = "Prepared(" in
+    let m = String.length sub in
+    let n = ref 0 in
+    for i = 0 to String.length d - m do
+      if String.sub d i m = sub then incr n
+    done;
+    !n
+  in
+  let before1 = count_prepared s1 and before2 = count_prepared s2 in
+  let prepared () =
+    count_prepared s1 > before1 && count_prepared s2 > before2
+  in
+  (* Outcomes site 1 knows of transactions coordinated at site 0. *)
+  let decided_from_s0 () =
+    List.length
+      (List.filter
+         (fun ((txn : Rt_types.Ids.Txn_id.t), _) -> txn.origin = 0)
+         (Site.decided_txns s1))
+  in
+  let decided_before = decided_from_s0 () in
+  Site.txn_commit s0 old_txn ~k:(fun _ -> ());
+  let steps = ref 0 in
+  while (not (prepared ())) && !steps < 10_000 do
+    incr steps;
+    run_for cluster (Time.us 10)
+  done;
+  Alcotest.(check bool) "replicas prepared" true (prepared ());
+  Cluster.crash_site cluster 0;
+  let undecided () = decided_from_s0 () = decided_before in
+  Alcotest.(check bool) "decision not delivered" true (undecided ());
+  let young_txn = Option.get (Site.begin_txn s1) in
+  let result = ref None in
+  Site.txn_read s1 young_txn ~key:"k" ~k:(fun r -> result := Some r);
+  run_for cluster (Time.ms 20);
+  Alcotest.(check bool) "still undecided" true (undecided ());
+  match !result with
+  | Some (Error Site.Order_conflict) -> ()
+  | Some (Error r) ->
+      Alcotest.failf "unexpected refusal %s" (Site.abort_reason_label r)
+  | Some (Ok v) ->
+      Alcotest.failf "read around the prepared write (saw %s)"
+        (Option.value ~default:"-" v)
+  | None -> Alcotest.fail "read never answered"
+
 let matrix_cases =
   List.concat_map
     (fun commit ->
@@ -479,5 +538,7 @@ let () =
           Alcotest.test_case "TO under load" `Quick test_timestamp_mode_load;
           Alcotest.test_case "TO rejects stale write" `Quick
             test_timestamp_rejects_stale_write;
+          Alcotest.test_case "TO read behind prepared write" `Quick
+            test_timestamp_read_behind_prepared_write;
         ] );
     ]

@@ -227,6 +227,30 @@ let test_deadlock_cycle_detected () =
   Lock_table.release_all t ~txn:b;
   Alcotest.(check (option tid)) "resolved" None (Lock_table.detect_deadlock t)
 
+let test_resolve_deadlocks () =
+  let t = Lock_table.create () in
+  let a = txn 1 and b = txn 2 in
+  let cycle () =
+    ignore (Lock_table.acquire t ~txn:a ~key:"x" ~mode:Exclusive ~on_grant:(fun () -> ()));
+    ignore (Lock_table.acquire t ~txn:b ~key:"y" ~mode:Exclusive ~on_grant:(fun () -> ()));
+    ignore (Lock_table.acquire t ~txn:a ~key:"y" ~mode:Exclusive ~on_grant:(fun () -> ()));
+    ignore (Lock_table.acquire t ~txn:b ~key:"x" ~mode:Exclusive ~on_grant:(fun () -> ()))
+  in
+  cycle ();
+  let victims = ref [] in
+  Lock_table.resolve_deadlocks t ~abort:(fun v ->
+      victims := v :: !victims;
+      Lock_table.release_all t ~txn:v);
+  Alcotest.(check (list tid)) "youngest aborted once" [ b ] !victims;
+  Alcotest.(check (option tid)) "no cycle left" None
+    (Lock_table.detect_deadlock t);
+  Lock_table.release_all t ~txn:a;
+  (* An abort that leaves the victim's locks in place must not hang. *)
+  cycle ();
+  Alcotest.check_raises "livelock bound"
+    (Failure "Lock_table.resolve_deadlocks: livelock detected") (fun () ->
+      Lock_table.resolve_deadlocks t ~abort:(fun _ -> ()))
+
 let test_deadlock_victim_policy () =
   let t = Lock_table.create () in
   let a = txn 1 and b = txn 2 in
@@ -561,6 +585,7 @@ let () =
         [
           Alcotest.test_case "cycle detected" `Quick test_deadlock_cycle_detected;
           Alcotest.test_case "victim policy" `Quick test_deadlock_victim_policy;
+          Alcotest.test_case "resolve deadlocks" `Quick test_resolve_deadlocks;
           Alcotest.test_case "upgrade deadlock" `Quick test_upgrade_deadlock;
           Alcotest.test_case "upgrade at front closes cycle" `Quick
             test_upgrade_front_closes_cycle;
